@@ -544,7 +544,7 @@ func diskBytes(b *testing.B, root string) float64 {
 // BenchmarkSnapshotSave times one full checkpoint write of the shared
 // bench database in each snapshot format; disk-bytes is the size the
 // save leaves behind. The binary format must beat CSV on both axes —
-// that gap is why checkpoints default to binary.
+// that gap is why checkpoints are always binary.
 func BenchmarkSnapshotSave(b *testing.B) {
 	b.ReportAllocs()
 	db := benchScenario(b).DB

@@ -1,11 +1,9 @@
 package core
 
-// Checkpoint format migration: a campaign checkpointed in one
-// snapshot format must resume under a backend configured for the
-// other — the on-disk format is an implementation detail of the
-// checkpoint, never of the campaign. This is what lets a CSV-era
-// checkpoint survive an upgrade to the binary default (and a binary
-// checkpoint survive -format csv) with byte-identical final CSVs.
+// CSV-era checkpoint resume: checkpoints are only ever written as
+// binary snapshots, but a checkpoint log left by a build that wrote
+// CSV checkpoints must still resume — with byte-identical final CSVs,
+// and with its next commit written binary.
 
 import (
 	"context"
@@ -14,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"v6web/internal/store"
@@ -31,33 +30,29 @@ func latestCheckpointDir(t *testing.T, dir string) string {
 	return names[len(names)-1]
 }
 
-// assertCheckpointFormat checks which serialization the newest
-// committed checkpoint actually holds.
-func assertCheckpointFormat(t *testing.T, dir string, format store.SnapshotFormat) {
+// rewriteAsCSVEra turns the newest committed checkpoint under dir into
+// what a build writing CSV checkpoints left behind: the main snapshot
+// as a CSV directory instead of a .v6db file.
+func rewriteAsCSVEra(t *testing.T, dir string) {
 	t.Helper()
-	ck := latestCheckpointDir(t, dir)
-	binPath := filepath.Join(ck, store.SnapMain+store.BinaryExt)
-	csvPath := filepath.Join(ck, store.SnapMain, "sites.csv")
-	_, binErr := os.Stat(binPath)
-	_, csvErr := os.Stat(csvPath)
-	switch format {
-	case store.FormatBinary:
-		if binErr != nil || csvErr == nil {
-			t.Fatalf("%s: want a binary checkpoint, stat %s: %v, %s: %v", ck, binPath, binErr, csvPath, csvErr)
-		}
-	case store.FormatCSV:
-		if csvErr != nil || binErr == nil {
-			t.Fatalf("%s: want a CSV checkpoint, stat %s: %v, %s: %v", ck, csvPath, csvErr, binPath, binErr)
-		}
+	bin := filepath.Join(latestCheckpointDir(t, dir), store.SnapMain+store.BinaryExt)
+	db, err := store.LoadBinary(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Save(strings.TrimSuffix(bin, store.BinaryExt)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(bin); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestResumeAcrossFormatsByteIdentical kills a campaign mid-run with
-// checkpoints in one format, resumes it under a backend configured
-// for the other format, and requires final CSVs byte-identical to an
-// uninterrupted run — in both directions, across three seeds. It also
-// pins that the resumed run's next commit really lands in the new
-// format (migration, not silent fallback).
+// TestResumeAcrossFormatsByteIdentical kills a campaign mid-run,
+// rewrites its newest checkpoint as a CSV-era one, resumes it, and
+// requires final CSVs byte-identical to an uninterrupted run across
+// three seeds. It also pins that the resumed run's next commit is
+// binary (migration, not a CSV checkpoint writer kept alive).
 func TestResumeAcrossFormatsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("format migration property test in -short mode")
@@ -80,61 +75,53 @@ func TestResumeAcrossFormatsByteIdentical(t *testing.T) {
 		refDir := t.TempDir()
 		saveCampaign(t, ref, refDir)
 
-		for _, dir := range []struct {
-			name      string
-			killedIn  store.SnapshotFormat
-			resumedIn store.SnapshotFormat
-		}{
-			{name: "csv-then-binary", killedIn: store.FormatCSV, resumedIn: store.FormatBinary},
-			{name: "binary-then-csv", killedIn: store.FormatBinary, resumedIn: store.FormatCSV},
-		} {
-			t.Run(fmt.Sprintf("seed=%d/%s", seed, dir.name), func(t *testing.T) {
-				ckptDir := t.TempDir()
-				first := store.NewCheckpointBackend(ckptDir)
-				first.Format = dir.killedIn
-				first.Fingerprint = cfg.Fingerprint()
-				s1, err := NewScenario(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				err = s1.RunContext(ctx,
-					WithBackend(first), WithCheckpoint(1),
-					WithObserver(func(ev RoundEvent) {
-						if ev.Round == killAt {
-							cancel()
-						}
-					}))
-				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("interrupted run returned %v, want context.Canceled", err)
-				}
-				assertCheckpointFormat(t, ckptDir, dir.killedIn)
+		t.Run(fmt.Sprintf("seed=%d/csv-then-binary", seed), func(t *testing.T) {
+			ckptDir := t.TempDir()
+			first := store.NewCheckpointBackend(ckptDir)
+			first.Fingerprint = cfg.Fingerprint()
+			s1, err := NewScenario(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			err = s1.RunContext(ctx,
+				WithBackend(first), WithCheckpoint(1),
+				WithObserver(func(ev RoundEvent) {
+					if ev.Round == killAt {
+						cancel()
+					}
+				}))
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("interrupted run returned %v, want context.Canceled", err)
+			}
+			rewriteAsCSVEra(t, ckptDir)
 
-				// Resume as a restarted process running the other format
-				// would: a fresh backend over the same directory.
-				second := store.NewCheckpointBackend(ckptDir)
-				second.Format = dir.resumedIn
-				second.Fingerprint = cfg.Fingerprint()
-				s2, err := Resume(cfg, second)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if s2.RoundsDone() != killAt+1 {
-					t.Fatalf("resumed at round %d, want %d", s2.RoundsDone(), killAt+1)
-				}
-				if err := s2.RunContext(context.Background(), WithBackend(second), WithCheckpoint(1)); err != nil {
-					t.Fatal(err)
-				}
-				assertCheckpointFormat(t, ckptDir, dir.resumedIn)
-				if err := s2.RunWorldV6Day(); err != nil {
-					t.Fatal(err)
-				}
-				resDir := t.TempDir()
-				saveCampaign(t, s2, resDir)
-				assertCampaignsIdentical(t, refDir, resDir,
-					fmt.Sprintf("seed %d %s killed at round %d", seed, dir.name, killAt))
-			})
-		}
+			// Resume as a restarted process would: a fresh backend over
+			// the same directory.
+			second := store.NewCheckpointBackend(ckptDir)
+			second.Fingerprint = cfg.Fingerprint()
+			s2, err := Resume(cfg, second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s2.RoundsDone() != killAt+1 {
+				t.Fatalf("resumed at round %d, want %d", s2.RoundsDone(), killAt+1)
+			}
+			if err := s2.RunContext(context.Background(), WithBackend(second), WithCheckpoint(1)); err != nil {
+				t.Fatal(err)
+			}
+			next := filepath.Join(latestCheckpointDir(t, ckptDir), store.SnapMain+store.BinaryExt)
+			if _, err := os.Stat(next); err != nil {
+				t.Fatalf("the commit after a CSV-era checkpoint is not binary: %v", err)
+			}
+			if err := s2.RunWorldV6Day(); err != nil {
+				t.Fatal(err)
+			}
+			resDir := t.TempDir()
+			saveCampaign(t, s2, resDir)
+			assertCampaignsIdentical(t, refDir, resDir,
+				fmt.Sprintf("seed %d CSV-era checkpoint at round %d", seed, killAt))
+		})
 	}
 }

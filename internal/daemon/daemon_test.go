@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"v6web/internal/analysis"
+	"v6web/internal/core"
 	"v6web/internal/report"
 	"v6web/internal/scenario"
 	"v6web/internal/store"
@@ -192,7 +193,7 @@ func TestDaemonResumesCompletedCampaign(t *testing.T) {
 // campaign has published a version, then 200.
 func TestReadyzGatesOnFirstVersion(t *testing.T) {
 	d := newTestDaemon(t, Options{})
-	c, err := d.register(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{}, 0)
+	c, err := d.register(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestReadyzGatesOnFirstVersion(t *testing.T) {
 // with 429; warm exhibits bypass the limiter entirely.
 func TestLoadShedding(t *testing.T) {
 	d := newTestDaemon(t, Options{RenderConcurrency: 1})
-	c, err := d.register(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{}, 0)
+	c, err := d.register(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestLoadShedding(t *testing.T) {
 // TestEventStream: SSE delivers round events and terminates on drain.
 func TestEventStream(t *testing.T) {
 	d := newTestDaemon(t, Options{})
-	c, err := d.register(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{}, 0)
+	c, err := d.register(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +331,7 @@ func TestBroadcasterDropsWhenFull(t *testing.T) {
 // the progress clock is stale must abandon the attempt and fence its
 // epoch so stale publishes are dropped.
 func TestWatchdogAbandonsStaleAttempt(t *testing.T) {
-	c := newCampaign(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{}, 0)
+	c := newCampaign(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{})
 	epoch := c.epoch.Add(1)
 	c.progress.Store(time.Now().Add(-time.Hour).UnixNano())
 	err := watch(c, 50*time.Millisecond, make(chan error))
@@ -348,7 +349,7 @@ func TestWatchdogAbandonsStaleAttempt(t *testing.T) {
 // TestWatchdogLetsHealthyAttemptFinish: a fresh progress clock must not
 // trip the watchdog before the result arrives.
 func TestWatchdogLetsHealthyAttemptFinish(t *testing.T) {
-	c := newCampaign(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{}, 0)
+	c := newCampaign(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{})
 	result := make(chan error, 1)
 	go func() {
 		time.Sleep(30 * time.Millisecond)
@@ -378,7 +379,7 @@ func TestRecoveringCatchesPanic(t *testing.T) {
 // TestPublishSequenceAndFencing: publishes bump the serving sequence;
 // stale epochs are rejected without touching it.
 func TestPublishSequenceAndFencing(t *testing.T) {
-	c := newCampaign(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{}, 0)
+	c := newCampaign(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{})
 	epoch := c.epoch.Add(1)
 	for i := 1; i <= 3; i++ {
 		v := &Version{Round: i}
@@ -410,15 +411,12 @@ func TestManifestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(t.TempDir(), "c1")
-	if err := writeManifest(dir, sp, comp.Config.Fingerprint(), store.FormatBinary); err != nil {
+	if err := writeManifest(dir, sp, comp.Config.Fingerprint()); err != nil {
 		t.Fatal(err)
 	}
-	sp2, comp2, format, err := readManifest(dir)
+	sp2, comp2, err := readManifest(dir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if format != store.FormatBinary {
-		t.Errorf("format %v, want binary", format)
 	}
 	if comp2.Config.Fingerprint() != comp.Config.Fingerprint() {
 		t.Error("fingerprint changed across the manifest round trip")
@@ -428,10 +426,10 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 
 	// A fingerprint mismatch (spec edited under the campaign) is loud.
-	if err := writeManifest(dir, sp, "deadbeef", store.FormatBinary); err != nil {
+	if err := writeManifest(dir, sp, "deadbeef"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := readManifest(dir); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+	if _, _, err := readManifest(dir); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("tampered manifest: %v, want fingerprint error", err)
 	}
 }
@@ -476,7 +474,7 @@ func TestWatchdogTickBounds(t *testing.T) {
 // incomplete one), so Seq order always matches round order even when a
 // fenced attempt's publish races the fence.
 func TestPublishRefusesRoundRegression(t *testing.T) {
-	c := newCampaign(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{}, 0)
+	c := newCampaign(filepath.Join(t.TempDir(), "c1"), nil, scenario.Compiled{})
 	epoch := c.epoch.Add(1)
 	if !c.publish(epoch, &Version{Round: 3}) {
 		t.Fatal("publish round 3 rejected")
@@ -528,5 +526,84 @@ func TestDiscoverQuarantinesBadManifest(t *testing.T) {
 	}
 	if len(names) != 1 || names[0] != "good" {
 		t.Fatalf("discovered %v, want just [good]", names)
+	}
+}
+
+// TestDiscoverResumesCSVEraCampaign: a data dir left by a build that
+// wrote CSV checkpoints — a manifest carrying "format": "csv" over a
+// checkpoint log whose newest checkpoint is a CSV directory — is
+// discovered, resumed from that checkpoint, and finishes with a
+// /report and final CSVs byte-identical to an uninterrupted run.
+func TestDiscoverResumesCSVEraCampaign(t *testing.T) {
+	refDir := t.TempDir()
+	ref := newTestDaemon(t, Options{Dir: refDir})
+	if _, err := ref.Add("tiny", "baseline-2011", tinyOverrides()); err != nil {
+		t.Fatal(err)
+	}
+	refBase := startDaemon(t, ref)
+	waitForState(t, refBase, "tiny", StateComplete)
+	_, want := get(t, refBase+"/api/campaigns/tiny/report")
+
+	// The CSV-era campaign: its manifest, and a checkpoint after round 1
+	// holding the main snapshot as CSV.
+	dir := t.TempDir()
+	c, err := newTestDaemon(t, Options{Dir: dir}).Add("tiny", "baseline-2011", tinyOverrides())
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest := filepath.Join(c.dir, manifestFile)
+	raw, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = bytes.Replace(raw, []byte(`"name":`), []byte(`"format": "csv", "name":`), 1)
+	if err := os.WriteFile(manifest, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := core.NewScenario(c.comp.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.NextRound(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(store.NewCheckpointBackend(c.dir)); err != nil {
+		t.Fatal(err)
+	}
+	ck := filepath.Join(c.dir, "checkpoints", "ck-000000")
+	if err := s.DB.Save(filepath.Join(ck, store.SnapMain)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(ck, store.SnapMain+store.BinaryExt)); err != nil {
+		t.Fatal(err)
+	}
+	// The daemon's open path resumes from it rather than starting over.
+	if r, resumed, err := openScenario(c.comp.Config, store.NewCheckpointBackend(c.dir)); err != nil || !resumed || r.RoundsDone() != 1 {
+		t.Fatalf("CSV-era checkpoint not resumable: resumed=%v err=%v", resumed, err)
+	}
+
+	d := newTestDaemon(t, Options{Dir: dir})
+	if err := d.Discover(); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Campaigns()) != 1 {
+		t.Fatalf("discovered %d campaigns, want 1", len(d.Campaigns()))
+	}
+	base := startDaemon(t, d)
+	waitForState(t, base, "tiny", StateComplete)
+	if _, got := get(t, base+"/api/campaigns/tiny/report"); !bytes.Equal(got, want) {
+		t.Errorf("report after CSV-era resume differs (%d vs %d bytes)", len(got), len(want))
+	}
+	csvs, _ := filepath.Glob(filepath.Join(refDir, "campaigns", "tiny", "*", "*.csv"))
+	if len(csvs) != 8 {
+		t.Fatalf("reference run saved %d CSVs, want 8", len(csvs))
+	}
+	for _, a := range csvs {
+		rel, _ := filepath.Rel(refDir, a)
+		wantCSV, _ := os.ReadFile(a)
+		gotCSV, err := os.ReadFile(filepath.Join(dir, rel))
+		if err != nil || !bytes.Equal(gotCSV, wantCSV) {
+			t.Errorf("%s differs after CSV-era resume (%v)", rel, err)
+		}
 	}
 }

@@ -266,8 +266,7 @@ func (k *killingConn) Read(b []byte) (int, error) {
 // TestWorkerKillRetried kills one real worker process (SIGKILL, as the
 // CI chaos job does) after its first rounds; the coordinator must
 // detect the dead stream, retry the shard — which resumes from the
-// shard checkpoint (binary-format by default) — and still produce
-// byte-identical CSVs.
+// shard checkpoint — and still produce byte-identical CSVs.
 func TestWorkerKillRetried(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process-spawning retry test in -short mode")

@@ -54,7 +54,8 @@ type Backend interface {
 //
 //	"write"  a staged snapshot or metadata write, mid-stream (models
 //	         a short write / ENOSPC; nothing was committed)
-//	"sync"   the pre-commit fsync
+//	"sync"   the pre-commit fsync of a staged snapshot or metadata
+//	         file
 //	"rename" the atomic commit rename itself
 //	"crash"  fires after the commit landed: the state IS durable, but
 //	         the caller is told it failed, as if the process died
@@ -64,16 +65,38 @@ type FaultHook func(op, path string) error
 
 const metaFile = "meta.json"
 
-func writeMetaFile(path string, m Meta) error {
+// writeMetaFile atomically and durably replaces path with m: the
+// staged file is fsynced (consulting hook at "sync", when set) before
+// the rename, and the directory after it, so a returned nil means
+// path holds the whole of m across power loss — never an empty file.
+func writeMetaFile(path string, m Meta, hook FaultHook) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
+	f, err := os.Create(tmp)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	_, err = f.Write(append(data, '\n'))
+	if err == nil && hook != nil {
+		err = hook("sync", tmp)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
 }
 
 func readMetaFile(path string) (Meta, bool, error) {
@@ -115,7 +138,7 @@ func (b *CSVBackend) SaveMeta(m Meta) error {
 	if err := os.MkdirAll(b.Dir, 0o755); err != nil {
 		return err
 	}
-	return writeMetaFile(filepath.Join(b.Dir, metaFile), m)
+	return writeMetaFile(filepath.Join(b.Dir, metaFile), m, nil)
 }
 
 // LoadMeta reads Dir/meta.json; ok=false when it does not exist.
@@ -123,49 +146,10 @@ func (b *CSVBackend) LoadMeta() (Meta, bool, error) {
 	return readMetaFile(filepath.Join(b.Dir, metaFile))
 }
 
-// SnapshotFormat selects how a CheckpointBackend serializes
-// snapshots.
-type SnapshotFormat int
-
-const (
-	// FormatBinary is the default checkpoint format: one .v6db file
-	// per snapshot (see BinaryBackend) — a direct dump of the columnar
-	// tables, so checkpoint and resume cost O(state changes) instead
-	// of O(rows) of CSV text.
-	FormatBinary SnapshotFormat = iota
-	// FormatCSV is the interchange format v6mon has always written.
-	// Final campaign products stay CSV regardless of this setting;
-	// only checkpoints are affected.
-	FormatCSV
-)
-
-func (f SnapshotFormat) String() string {
-	switch f {
-	case FormatBinary:
-		return "binary"
-	case FormatCSV:
-		return "csv"
-	}
-	return fmt.Sprintf("SnapshotFormat(%d)", int(f))
-}
-
-// ParseSnapshotFormat parses a -format flag value; the empty string
-// means the binary default.
-func ParseSnapshotFormat(s string) (SnapshotFormat, error) {
-	switch s {
-	case "", "binary":
-		return FormatBinary, nil
-	case "csv":
-		return FormatCSV, nil
-	}
-	return 0, fmt.Errorf("store: unknown snapshot format %q (want binary or csv)", s)
-}
-
-// loadSnapshotAuto loads base regardless of which format saved it:
-// the binary file when present, else the CSV directory. This is what
-// makes checkpoint directories format-migratable — a campaign
-// checkpointed by a CSV-era build resumes under the binary default,
-// and a binary checkpoint resumes under -format csv.
+// loadSnapshotAuto loads base from whichever format saved it: the
+// binary file when present, else the CSV directory. Checkpoints are
+// only ever written binary; the CSV branch is the read-only path that
+// lets a checkpoint log written by a CSV-era build resume.
 func loadSnapshotAuto(base string) (*DB, error) {
 	bin := base + BinaryExt
 	if _, err := os.Stat(bin); err == nil {
@@ -187,10 +171,6 @@ type CheckpointBackend struct {
 	Dir  string // campaign root; checkpoints live under Dir/checkpoints
 	Keep int    // committed checkpoints to retain after a commit; <=0 keeps all
 
-	// Format selects the snapshot serialization inside each
-	// checkpoint directory (default binary). Loading auto-detects, so
-	// changing the format between runs of the same campaign is safe.
-	Format SnapshotFormat
 	// Fingerprint, when set, is stamped into binary snapshot headers.
 	Fingerprint string
 	// Hook, when set, injects failures at the commit points (fault
@@ -259,8 +239,8 @@ func (b *CheckpointBackend) stage() (string, error) {
 	return dir, nil
 }
 
-// SaveSnapshot stages db under the in-progress checkpoint, in the
-// backend's configured format.
+// SaveSnapshot stages db under the in-progress checkpoint as a binary
+// snapshot.
 func (b *CheckpointBackend) SaveSnapshot(name string, db *DB) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -271,14 +251,6 @@ func (b *CheckpointBackend) saveSnapshotLocked(name string, db *DB) error {
 	dir, err := b.stage()
 	if err != nil {
 		return err
-	}
-	if b.Format == FormatCSV {
-		if b.Hook != nil {
-			if err := b.Hook("write", filepath.Join(dir, name)); err != nil {
-				return err
-			}
-		}
-		return db.Save(filepath.Join(dir, name))
 	}
 	return db.SaveBinary(filepath.Join(dir, name)+BinaryExt,
 		BinaryOptions{Compress: true, Fingerprint: b.Fingerprint, Hook: b.Hook})
@@ -304,7 +276,7 @@ func (b *CheckpointBackend) saveMetaLocked(m Meta) error {
 			return err
 		}
 	}
-	if err := writeMetaFile(filepath.Join(dir, metaFile), m); err != nil {
+	if err := writeMetaFile(filepath.Join(dir, metaFile), m, b.Hook); err != nil {
 		return err
 	}
 	if !b.scanned {
@@ -332,6 +304,11 @@ func (b *CheckpointBackend) saveMetaLocked(m Meta) error {
 	}
 	b.nextSeq++
 	b.pending = ""
+	// The rename is only durable once the checkpoint root is synced:
+	// without it a power cut can surface ck-N with its meta.json lost.
+	if err := syncDir(b.root()); err != nil {
+		return err
+	}
 	if b.Hook != nil {
 		// "crash" fires after the commit landed: the new checkpoint is
 		// the one LoadMeta now serves, but the caller hears failure — a
@@ -390,8 +367,8 @@ func (b *CheckpointBackend) LoadMeta() (Meta, bool, error) {
 	return readMetaFile(filepath.Join(dir, metaFile))
 }
 
-// LoadSnapshot reads a snapshot from the newest committed checkpoint,
-// auto-detecting the format it was saved in.
+// LoadSnapshot reads a snapshot from the newest committed checkpoint:
+// binary, or CSV when the checkpoint predates binary snapshots.
 func (b *CheckpointBackend) LoadSnapshot(name string) (*DB, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

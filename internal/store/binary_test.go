@@ -12,8 +12,6 @@ import (
 	"v6web/internal/topo"
 )
 
-var _ Backend = (*BinaryBackend)(nil)
-
 // binarySampleDB builds a database exercising every encoding corner:
 // dense main and extended ranges, an overflow id, host overrides, DNS
 // run spills and out-of-order rows (including a duplicate round),
@@ -140,116 +138,75 @@ func TestBinarySaveDeterministic(t *testing.T) {
 	}
 }
 
-func TestBinaryBackendRoundTrip(t *testing.T) {
-	b := NewBinaryBackend(t.TempDir())
-	b.Fingerprint = "cafebabe"
-	if _, ok, err := b.LoadMeta(); err != nil || ok {
-		t.Fatalf("empty backend meta: ok=%v err=%v", ok, err)
-	}
-	if _, err := b.LoadSnapshot(SnapMain); !errors.Is(err, ErrNoDatabase) {
-		t.Fatalf("LoadSnapshot on empty backend: %v", err)
-	}
-	db := binarySampleDB()
-	if err := b.SaveSnapshot(SnapMain, db); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.SaveMeta(Meta{NextRound: 7, Rounds: 35, ConfigHash: "cafebabe"}); err != nil {
-		t.Fatal(err)
-	}
-	meta, ok, err := b.LoadMeta()
-	if err != nil || !ok || meta.NextRound != 7 {
-		t.Fatalf("LoadMeta: %+v ok=%v err=%v", meta, ok, err)
-	}
-	loaded, err := b.LoadSnapshot(SnapMain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, d1, sa1, p1 := db.Counts()
-	s2, d2, sa2, p2 := loaded.Counts()
-	if s1 != s2 || d1 != d2 || sa1 != sa2 || p1 != p2 {
-		t.Fatalf("snapshot counts: (%d %d %d %d) vs (%d %d %d %d)", s1, d1, sa1, p1, s2, d2, sa2, p2)
-	}
-
-	info, err := ReadBinaryInfo(filepath.Join(b.Dir, SnapMain+BinaryExt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Version != binVersion || info.Fingerprint != "cafebabe" {
-		t.Fatalf("info header: %+v", info)
-	}
-	if info.MainIDs != 64 || info.ExtBase != 1<<20 || info.ExtIDs != 32 {
-		t.Fatalf("info ranges: %+v", info)
-	}
-	if info.Sections == 0 || info.DataBytes == 0 {
-		t.Fatalf("info sections: %+v", info)
-	}
-}
-
+// TestCheckpointBackendFormatMigration pins the read-only path for
+// checkpoints written before snapshots were binary: a CSV-era ck dir
+// loads equal to what was saved, and the next commit over it is a
+// binary snapshot stamped with the backend's fingerprint.
 func TestCheckpointBackendFormatMigration(t *testing.T) {
-	// A checkpoint committed in one format must load under a backend
-	// configured for the other: LoadSnapshot auto-detects per
-	// checkpoint directory, so switching -format mid-campaign is safe.
-	for _, first := range []SnapshotFormat{FormatCSV, FormatBinary} {
-		t.Run("from-"+first.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			db := binarySampleDB()
-			want := saveCSVBytes(t, db)
+	t.Run("from-csv", func(t *testing.T) {
+		dir := t.TempDir()
+		db := binarySampleDB()
+		want := saveCSVBytes(t, db)
 
-			old := NewCheckpointBackend(dir)
-			old.Format = first
-			if err := old.SaveSnapshot(SnapMain, db); err != nil {
-				t.Fatal(err)
-			}
-			if err := old.SaveMeta(Meta{NextRound: 3, Rounds: 7, ConfigHash: "x"}); err != nil {
-				t.Fatal(err)
-			}
-
-			other := NewCheckpointBackend(dir)
-			other.Format = FormatBinary + FormatCSV - first
-			loaded, err := other.LoadSnapshot(SnapMain)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := saveCSVBytes(t, loaded)
-			for name, data := range want {
-				if !bytes.Equal(data, got[name]) {
-					t.Errorf("%s differs after %s-era checkpoint load", name, first)
-				}
-			}
-			// The next checkpoint commits in the new backend's format
-			// and still loads.
-			if err := other.SaveSnapshot(SnapMain, loaded); err != nil {
-				t.Fatal(err)
-			}
-			if err := other.SaveMeta(Meta{NextRound: 4, Rounds: 7, ConfigHash: "x"}); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := other.LoadSnapshot(SnapMain); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-func TestParseSnapshotFormat(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want SnapshotFormat
-		ok   bool
-	}{
-		{"", FormatBinary, true},
-		{"binary", FormatBinary, true},
-		{"csv", FormatCSV, true},
-		{"tsv", 0, false},
-	} {
-		got, err := ParseSnapshotFormat(tc.in)
-		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
-			t.Errorf("ParseSnapshotFormat(%q) = %v, %v", tc.in, got, err)
+		old := NewCheckpointBackend(dir)
+		old.Fingerprint = "cafebabe"
+		if err := commit(old, db, 3); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if FormatBinary.String() != "binary" || FormatCSV.String() != "csv" {
-		t.Errorf("String(): %v %v", FormatBinary, FormatCSV)
-	}
+		ck, err := old.latest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := ReadBinaryInfo(filepath.Join(ck, SnapMain+BinaryExt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Version != binVersion || info.Fingerprint != "cafebabe" {
+			t.Fatalf("info header: %+v", info)
+		}
+		if info.MainIDs != 64 || info.ExtBase != 1<<20 || info.ExtIDs != 32 {
+			t.Fatalf("info ranges: %+v", info)
+		}
+		if info.Sections == 0 || info.DataBytes == 0 {
+			t.Fatalf("info sections: %+v", info)
+		}
+
+		// Rewrite the committed checkpoint the way a CSV-era build left
+		// it: a CSV directory in place of the .v6db file.
+		if err := db.Save(filepath.Join(ck, SnapMain)); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(filepath.Join(ck, SnapMain+BinaryExt)); err != nil {
+			t.Fatal(err)
+		}
+
+		b := NewCheckpointBackend(dir)
+		b.Fingerprint = "cafebabe"
+		loaded, err := b.LoadSnapshot(SnapMain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := saveCSVBytes(t, loaded)
+		for name, data := range want {
+			if !bytes.Equal(data, got[name]) {
+				t.Errorf("%s differs after CSV-era checkpoint load", name)
+			}
+		}
+
+		if err := commit(b, loaded, 4); err != nil {
+			t.Fatal(err)
+		}
+		next, err := b.latest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(filepath.Join(next, SnapMain)); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("next commit left a CSV snapshot directory: %v", err)
+		}
+		if info, err := ReadBinaryInfo(filepath.Join(next, SnapMain+BinaryExt)); err != nil || info.Fingerprint != "cafebabe" {
+			t.Fatalf("next commit is not a stamped binary snapshot: %+v, %v", info, err)
+		}
+	})
 }
 
 // TestBinaryVersionDecoders pins the version/compat policy: every

@@ -30,7 +30,8 @@ const (
 // if needed. Every file streams row by row through a bufio.Writer in
 // the tables' canonical iteration order — no sorted whole-table copy
 // is ever materialized, so saving a paper-scale database needs O(1)
-// extra memory.
+// extra memory. Each file is fsynced as it closes and dir is fsynced
+// last, so a returned nil means the database survives power loss.
 func (db *DB) Save(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -44,7 +45,10 @@ func (db *DB) Save(dir string) error {
 	if err := db.saveSamples(filepath.Join(dir, samplesFile)); err != nil {
 		return err
 	}
-	return db.savePaths(filepath.Join(dir, pathsFile))
+	if err := db.savePaths(filepath.Join(dir, pathsFile)); err != nil {
+		return err
+	}
+	return syncDir(dir)
 }
 
 // csvStream is a row-at-a-time CSV writer: csv encoding on top of a
@@ -86,6 +90,9 @@ func (s *csvStream) close() error {
 	}
 	if err := s.bw.Flush(); s.err == nil {
 		s.err = err
+	}
+	if s.err == nil {
+		s.err = s.f.Sync()
 	}
 	if err := s.f.Close(); s.err == nil {
 		s.err = err
