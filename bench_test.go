@@ -587,6 +587,7 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 		if err := db.Save(target); err != nil {
 			b.Fatal(err)
 		}
+		b.SetBytes(int64(diskBytes(b, target)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := store.Load(target); err != nil {

@@ -27,7 +27,17 @@ type SiteID int64
 // derivation costs no stored string.
 func HostName(id SiteID) string {
 	// strconv instead of fmt: this runs once per site per round.
-	return "site" + strconv.FormatInt(int64(id), 10) + ".v6web.test"
+	var buf [40]byte
+	return string(AppendHostName(buf[:0], id))
+}
+
+// AppendHostName appends HostName(id) to dst, so a caller holding a
+// host as bytes can compare it against the canonical name without
+// allocating.
+func AppendHostName(dst []byte, id SiteID) []byte {
+	dst = append(dst, "site"...)
+	dst = strconv.AppendInt(dst, int64(id), 10)
+	return append(dst, ".v6web.test"...)
 }
 
 // Config parameterizes the list model.

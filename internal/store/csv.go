@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/csv"
 	"errors"
 	"fmt"
@@ -100,8 +101,16 @@ func (s *csvStream) close() error {
 	return s.err
 }
 
+// The header each file starts with; Load requires it verbatim.
+var (
+	sitesHeader   = []string{"site", "host", "first_rank", "v4_as", "v6_as"}
+	dnsHeader     = []string{"vantage", "site", "round", "has_a", "has_aaaa", "identical"}
+	samplesHeader = []string{"vantage", "site", "family", "round", "date", "page_bytes", "downloads", "mean_speed", "ci_ok"}
+	pathsHeader   = []string{"vantage", "family", "dst", "round", "path"}
+)
+
 func (db *DB) saveSites(path string) error {
-	s, err := newCSVStream(path, []string{"site", "host", "first_rank", "v4_as", "v6_as"})
+	s, err := newCSVStream(path, sitesHeader)
 	if err != nil {
 		return err
 	}
@@ -113,7 +122,7 @@ func (db *DB) saveSites(path string) error {
 }
 
 func (db *DB) saveDNS(path string) error {
-	s, err := newCSVStream(path, []string{"vantage", "site", "round", "has_a", "has_aaaa", "identical"})
+	s, err := newCSVStream(path, dnsHeader)
 	if err != nil {
 		return err
 	}
@@ -132,7 +141,7 @@ func (db *DB) saveDNS(path string) error {
 }
 
 func (db *DB) saveSamples(path string) error {
-	s, err := newCSVStream(path, []string{"vantage", "site", "family", "round", "date", "page_bytes", "downloads", "mean_speed", "ci_ok"})
+	s, err := newCSVStream(path, samplesHeader)
 	if err != nil {
 		return err
 	}
@@ -151,7 +160,7 @@ func (db *DB) saveSamples(path string) error {
 }
 
 func (db *DB) savePaths(path string) error {
-	s, err := newCSVStream(path, []string{"vantage", "family", "dst", "round", "path"})
+	s, err := newCSVStream(path, pathsHeader)
 	if err != nil {
 		return err
 	}
@@ -188,22 +197,6 @@ func joinInts(xs []int) string {
 	return strings.Join(parts, ";")
 }
 
-func splitInts(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ";")
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
 // ErrNoDatabase reports that a directory holds no saved database at
 // all, as opposed to a partial one. Callers that treat an absent
 // database as optional (e.g. the World IPv6 Day side experiment) can
@@ -215,6 +208,13 @@ var ErrNoDatabase = errors.New("no saved database")
 // written directory (some files missing, e.g. after an interrupted
 // Save) returns an error naming the missing files rather than
 // silently yielding an incomplete database.
+//
+// Load builds the same columnar layout a campaign does: the dense id
+// ranges are derived from sites.csv (see deriveReservation) before any
+// row lands, so a saved campaign loads into index-addressed tables
+// rather than overflow maps. Every file must start with the header
+// Save writes; a malformed row fails with an error naming the file
+// and the data row.
 func Load(dir string) (*DB, error) {
 	files := []string{sitesFile, dnsFile, samplesFile, pathsFile}
 	var missing []string
@@ -236,135 +236,549 @@ func Load(dir string) (*DB, error) {
 			dir, len(missing), len(files), strings.Join(missing, ", "))
 	}
 	db := NewDB()
-	if err := loadCSV(filepath.Join(dir, sitesFile), 5, func(rec []string) error {
-		site, err := strconv.ParseInt(rec[0], 10, 64)
-		if err != nil {
-			return err
+	for _, load := range []func(*DB, string) error{loadSites, loadDNS, loadSamples, loadPaths} {
+		if err := load(db, dir); err != nil {
+			return nil, err
 		}
-		fr, err := strconv.Atoi(rec[2])
-		if err != nil {
-			return err
-		}
-		v4, err := strconv.Atoi(rec[3])
-		if err != nil {
-			return err
-		}
-		v6, err := strconv.Atoi(rec[4])
-		if err != nil {
-			return err
-		}
-		db.PutSite(SiteRow{Site: alexa.SiteID(site), Host: rec[1], FirstRank: fr, V4AS: v4, V6AS: v6})
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := loadCSV(filepath.Join(dir, dnsFile), 6, func(rec []string) error {
-		site, err := strconv.ParseInt(rec[1], 10, 64)
-		if err != nil {
-			return err
-		}
-		round, err := strconv.Atoi(rec[2])
-		if err != nil {
-			return err
-		}
-		db.AddDNS(Vantage(rec[0]), DNSRow{
-			Site: alexa.SiteID(site), Round: round,
-			HasA: rec[3] == "true", HasAAAA: rec[4] == "true", Identical: rec[5] == "true",
-		})
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := loadCSV(filepath.Join(dir, samplesFile), 9, func(rec []string) error {
-		site, err := strconv.ParseInt(rec[1], 10, 64)
-		if err != nil {
-			return err
-		}
-		fam, err := strconv.Atoi(rec[2])
-		if err != nil {
-			return err
-		}
-		round, err := strconv.Atoi(rec[3])
-		if err != nil {
-			return err
-		}
-		date, err := time.Parse(time.RFC3339, rec[4])
-		if err != nil {
-			return err
-		}
-		page, err := strconv.Atoi(rec[5])
-		if err != nil {
-			return err
-		}
-		dls, err := strconv.Atoi(rec[6])
-		if err != nil {
-			return err
-		}
-		speed, err := strconv.ParseFloat(rec[7], 64)
-		if err != nil {
-			return err
-		}
-		db.AddSample(Vantage(rec[0]), alexa.SiteID(site), topo.Family(fam), Sample{
-			Round: round, Date: date, PageBytes: page, Downloads: dls,
-			MeanSpeed: speed, CIOK: rec[8] == "true",
-		})
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := loadCSV(filepath.Join(dir, pathsFile), 5, func(rec []string) error {
-		fam, err := strconv.Atoi(rec[1])
-		if err != nil {
-			return err
-		}
-		dst, err := strconv.Atoi(rec[2])
-		if err != nil {
-			return err
-		}
-		round, err := strconv.Atoi(rec[3])
-		if err != nil {
-			return err
-		}
-		p, err := splitInts(rec[4])
-		if err != nil {
-			return err
-		}
-		db.AddPath(Vantage(rec[0]), topo.Family(fam), dst, round, p)
-		return nil
-	}); err != nil {
-		return nil, err
 	}
 	return db, nil
 }
 
-// loadCSV streams a CSV file record by record — O(1) extra memory
-// regardless of file size. The record slice is reused (ReuseRecord);
-// field strings themselves are freshly allocated and safe to retain.
-func loadCSV(path string, fields int, fn func([]string) error) error {
-	f, err := os.Open(path)
+// loadSites reads sites.csv twice: a first pass collects the ids to
+// derive and reserve the dense ranges, the second stores the rows.
+// Hosts equal to the canonical derivation are recognized without
+// building a string.
+func loadSites(db *DB, dir string) error {
+	var ids []alexa.SiteID
+	if err := readCSV(dir, sitesFile, sitesHeader, func(rec csvRecord) error {
+		id, err := parseSiteID(rec.field(0))
+		ids = append(ids, id)
+		return err
+	}); err != nil {
+		return err
+	}
+	if res := deriveReservation(ids); res.main > 0 || res.ext > 0 {
+		db.Reserve(res.main, res.extBase, res.ext)
+	}
+	ids = nil
+	var hostBuf [40]byte
+	return readCSV(dir, sitesFile, sitesHeader, func(rec csvRecord) error {
+		id, err := parseSiteID(rec.field(0))
+		if err != nil {
+			return err
+		}
+		fr, err := atoi(rec.field(2))
+		if err != nil {
+			return err
+		}
+		v4, err := atoi(rec.field(3))
+		if err != nil {
+			return err
+		}
+		v6, err := atoi(rec.field(4))
+		if err != nil {
+			return err
+		}
+		row := SiteRow{Site: id, FirstRank: fr, V4AS: v4, V6AS: v6}
+		table, _ := db.res.locate(id)
+		if table < 0 || string(rec.field(1)) != string(alexa.AppendHostName(hostBuf[:0], id)) {
+			row.Host = string(rec.field(1))
+			db.PutSite(row)
+			return nil
+		}
+		sh := db.siteShard(id) // canonical host: putDense stores none
+		sh.mu.Lock()
+		sh.putDense(db.res, row, true)
+		sh.mu.Unlock()
+		return nil
+	})
+}
+
+// deriveReservation picks the dense id ranges for a loaded database
+// from its sites.csv ids, which Save writes in ascending order: a main
+// range [0, m) and an extended range starting at the first id past it,
+// rounded down to a multiple of the shard count. Each range is the
+// longest run of ids whose span is at most twice the ids it covers,
+// which bounds the dense allocation by the input size (the binary
+// loader's plausibility rule). Unsorted ids reserve nothing; ids past
+// either range load into the overflow maps, which stay correct.
+func deriveReservation(ids []alexa.SiteID) reservation {
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			return reservation{}
+		}
+	}
+	var res reservation
+	k := densePrefix(ids, 0)
+	if k > 0 {
+		res.main = int(ids[k-1]) + 1
+	}
+	if rest := ids[k:]; len(rest) > 0 {
+		base := rest[0] &^ (shards - 1)
+		if base >= alexa.SiteID(res.main) {
+			if n := densePrefix(rest, base); n > 0 {
+				res.extBase, res.ext = base, int(rest[n-1]-base)+1
+			}
+		}
+	}
+	return res
+}
+
+// densePrefix returns the largest k such that ids[:k] (ascending, none
+// below base) lies within [base, base+2k).
+func densePrefix(ids []alexa.SiteID, base alexa.SiteID) int {
+	k := 0
+	for i, id := range ids {
+		if id >= base && uint64(id-base) < 2*uint64(i+1) {
+			k = i + 1
+		}
+	}
+	return k
+}
+
+// shardBatches buffers one vantage's rows by site-id shard: a shard
+// lock is taken once per loadBatch rows, and a site's rows — always in
+// one shard — keep their file order.
+type shardBatches[T any] struct {
+	rows  [shards][]T
+	apply func(shard int, rows []T)
+}
+
+const loadBatch = 1024
+
+func (b *shardBatches[T]) add(site alexa.SiteID, row T) {
+	i := int(uint64(site) & (shards - 1))
+	b.rows[i] = append(b.rows[i], row)
+	if len(b.rows[i]) == loadBatch {
+		b.apply(i, b.rows[i])
+		b.rows[i] = b.rows[i][:0]
+	}
+}
+
+func (b *shardBatches[T]) flush() {
+	for i, rows := range b.rows {
+		if len(rows) > 0 {
+			b.apply(i, rows)
+			b.rows[i] = rows[:0]
+		}
+	}
+}
+
+// vantageCursor tracks the vantage of the rows being read. Save writes
+// each vantage's rows as one block, so the table is looked up — and
+// the name interned — once per block rather than once per row.
+type vantageCursor struct {
+	db   *DB
+	name Vantage
+	t    *vantageTable
+}
+
+// at returns the table of the row's vantage field. When that differs
+// from the current vantage, leave (if non-nil) runs first, while the
+// cursor still points at the block being left.
+func (c *vantageCursor) at(field []byte, leave func()) *vantageTable {
+	if c.t == nil || string(field) != string(c.name) {
+		c.enter(field, leave)
+	}
+	return c.t
+}
+
+func (c *vantageCursor) enter(field []byte, leave func()) {
+	if leave != nil {
+		leave()
+	}
+	c.name = Vantage(field)
+	c.t = c.db.table(c.name)
+}
+
+func loadDNS(db *DB, dir string) error {
+	cur := vantageCursor{db: db}
+	b := shardBatches[DNSRow]{apply: func(i int, rows []DNSRow) { cur.t.addDNSShard(db.res, i, rows) }}
+	leave := b.flush
+	err := readCSV(dir, dnsFile, dnsHeader, func(rec csvRecord) error {
+		site, err := parseSiteID(rec.field(1))
+		if err != nil {
+			return err
+		}
+		round, err := atoi(rec.field(2))
+		if err != nil {
+			return err
+		}
+		cur.at(rec.field(0), leave)
+		b.add(site, DNSRow{
+			Site: site, Round: round,
+			HasA: isTrue(rec.field(3)), HasAAAA: isTrue(rec.field(4)), Identical: isTrue(rec.field(5)),
+		})
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	b.flush()
+	return nil
+}
+
+func loadSamples(db *DB, dir string) error {
+	cur := vantageCursor{db: db}
+	b := shardBatches[siteSample]{apply: func(i int, rows []siteSample) { cur.t.addSampleShard(db.res, i, rows) }}
+	// Every sample of a round shares one date string: parse each
+	// distinct string once, and resolve it against the current
+	// vantage's date dictionary once per vantage block.
+	parsed := make(map[string]time.Time)
+	dateRefs := make(map[string]int32)
+	leave := func() {
+		b.flush()
+		clear(dateRefs)
+	}
+	err := readCSV(dir, samplesFile, samplesHeader, func(rec csvRecord) error {
+		site, err := parseSiteID(rec.field(1))
+		if err != nil {
+			return err
+		}
+		fam, err := atoi(rec.field(2))
+		if err != nil {
+			return err
+		}
+		if fam != int(topo.V4) && fam != int(topo.V6) {
+			return fmt.Errorf("family %d is neither %d (v4) nor %d (v6)", fam, topo.V4, topo.V6)
+		}
+		round, err := atoi(rec.field(3))
+		if err != nil {
+			return err
+		}
+		page, err := atoi(rec.field(5))
+		if err != nil {
+			return err
+		}
+		dls, err := atoi(rec.field(6))
+		if err != nil {
+			return err
+		}
+		speed, err := strconv.ParseFloat(string(rec.field(7)), 64)
+		if err != nil {
+			return err
+		}
+		t := cur.at(rec.field(0), leave)
+		dateIdx, ok := dateRefs[string(rec.field(4))]
+		if !ok {
+			date, ok := parsed[string(rec.field(4))]
+			if !ok {
+				if date, err = time.Parse(time.RFC3339, string(rec.field(4))); err != nil {
+					return err
+				}
+				parsed[string(rec.field(4))] = date
+			}
+			dateIdx = t.dateRef(date)
+			dateRefs[string(rec.field(4))] = dateIdx
+		}
+		b.add(site, siteSample{site: site, fam: topo.Family(fam), p: packSample(Sample{
+			Round: round, PageBytes: page, Downloads: dls, MeanSpeed: speed, CIOK: isTrue(rec.field(8)),
+		}, dateIdx)})
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	b.flush()
+	return nil
+}
+
+func loadPaths(db *DB, dir string) error {
+	cur := vantageCursor{db: db}
+	var hops []int
+	return readCSV(dir, pathsFile, pathsHeader, func(rec csvRecord) error {
+		fam, err := atoi(rec.field(1))
+		if err != nil {
+			return err
+		}
+		dst, err := atoi(rec.field(2))
+		if err != nil {
+			return err
+		}
+		round, err := atoi(rec.field(3))
+		if err != nil {
+			return err
+		}
+		if hops, err = splitInts(hops[:0], rec.field(4)); err != nil {
+			return err
+		}
+		cur.at(rec.field(0), nil).addPath(topo.Family(fam), dst, round, hops)
+		return nil
+	})
+}
+
+// splitInts parses a joinInts field into dst; an empty field is an
+// empty path.
+func splitInts(dst []int, field []byte) ([]int, error) {
+	if len(field) == 0 {
+		return dst, nil
+	}
+	for {
+		part := field
+		i := bytes.IndexByte(field, ';')
+		if i >= 0 {
+			part = field[:i]
+		}
+		v, err := atoi(part)
+		if err != nil {
+			return nil, err
+		}
+		dst = append(dst, v)
+		if i < 0 {
+			return dst, nil
+		}
+		field = field[i+1:]
+	}
+}
+
+// isTrue is strconv.FormatBool's inverse as Load has always read it:
+// exactly "true" is true, anything else false.
+func isTrue(field []byte) bool { return string(field) == "true" }
+
+// fastInt parses an optional '-' and 1..maxDigits decimal digits —
+// the only form Save writes — without allocating. ok=false sends the
+// caller to strconv, which decides every other input (and the error
+// text) exactly as before.
+func fastInt(b []byte, maxDigits int) (n int64, ok bool) {
+	d := b
+	if len(d) > 0 && d[0] == '-' {
+		d = d[1:]
+	}
+	if len(d) == 0 || len(d) > maxDigits {
+		return 0, false
+	}
+	for _, c := range d {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int64(c-'0')
+	}
+	if len(d) < len(b) {
+		n = -n
+	}
+	return n, true
+}
+
+// atoiDigits is the longest digit string that cannot overflow an int.
+const atoiDigits = 9 + 9*(strconv.IntSize/64)
+
+// atoi is strconv.Atoi over a field.
+func atoi(b []byte) (int, error) {
+	if n, ok := fastInt(b, atoiDigits); ok {
+		return int(n), nil
+	}
+	return strconv.Atoi(string(b))
+}
+
+// parseSiteID is strconv.ParseInt(field, 10, 64) as a site id.
+func parseSiteID(b []byte) (alexa.SiteID, error) {
+	if n, ok := fastInt(b, 18); ok {
+		return alexa.SiteID(n), nil
+	}
+	n, err := strconv.ParseInt(string(b), 10, 64)
+	return alexa.SiteID(n), err
+}
+
+// readCSV streams the data rows of dir/name through fn, O(1) memory
+// in the file size. The file must start with header; every row must
+// have its field count and end in a newline (Save writes one after
+// each row, so a missing final newline is a truncated file). Errors
+// name the file and the 1-based data row. Fields alias the reader's
+// buffer and are valid only during fn.
+func readCSV(dir, name string, header []string, fn func(csvRecord) error) error {
+	f, err := os.Open(filepath.Join(dir, name))
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	r := csv.NewReader(bufio.NewReaderSize(f, 1<<16))
-	r.ReuseRecord = true
-	r.FieldsPerRecord = -1 // field counts are checked per row below
-	for i := 0; ; i++ {
-		rec, err := r.Read()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
+	tail := &lastByteReader{r: f}
+	r := newCSVReader(tail)
+	rec, err := r.next()
+	switch {
+	case err == io.EOF:
+		return fmt.Errorf("store: %s: empty file, want header %q", name, strings.Join(header, ","))
+	case err != nil:
+		return fmt.Errorf("store: %s header: %w", name, csvCause(err))
+	case !fieldsEqual(rec, header):
+		return fmt.Errorf("store: %s header is %q, want %q", name, rec.buf, strings.Join(header, ","))
+	}
+	for row := 1; ; row++ {
+		rec, err := r.next()
+		if err == io.EOF {
+			if tail.last != '\n' {
+				last := fmt.Sprintf("row %d", row-1)
+				if row == 1 {
+					last = "header"
+				}
+				return fmt.Errorf("store: %s %s: truncated (no newline at end of file)", name, last)
 			}
-			return fmt.Errorf("store: %s: %w", filepath.Base(path), err)
+			return nil
 		}
-		if i == 0 {
-			continue // header
+		if err != nil {
+			return fmt.Errorf("store: %s row %d: %w", name, row, csvCause(err))
 		}
-		if len(rec) != fields {
-			return fmt.Errorf("store: %s row %d has %d fields, want %d", filepath.Base(path), i, len(rec), fields)
+		if rec.len() != len(header) {
+			return fmt.Errorf("store: %s row %d has %d fields, want %d", name, row, rec.len(), len(header))
 		}
 		if err := fn(rec); err != nil {
-			return fmt.Errorf("store: %s row %d: %w", filepath.Base(path), i, err)
+			return fmt.Errorf("store: %s row %d: %w", name, row, err)
 		}
 	}
+}
+
+// csvCause strips encoding/csv's position prefix: its line numbers
+// count from the hand-off point, not from the top of the file, so
+// readCSV's own row number replaces them.
+func csvCause(err error) error {
+	var pe *csv.ParseError
+	if errors.As(err, &pe) {
+		return pe.Err
+	}
+	return err
+}
+
+func fieldsEqual(rec csvRecord, want []string) bool {
+	if rec.len() != len(want) {
+		return false
+	}
+	for i := range want {
+		if string(rec.field(i)) != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// lastByteReader remembers the last byte read through it.
+type lastByteReader struct {
+	r    io.Reader
+	last byte
+}
+
+func (l *lastByteReader) Read(p []byte) (int, error) {
+	n, err := l.r.Read(p)
+	if n > 0 {
+		l.last = p[n-1]
+	}
+	return n, err
+}
+
+// csvRecord is one CSV record: field i is buf[ends[i-1]+1 : ends[i]]
+// (the first field starts at 0), so splitting a line stores one int per
+// field rather than a slice header.
+type csvRecord struct {
+	buf  []byte
+	ends []int
+}
+
+func (r csvRecord) len() int { return len(r.ends) }
+
+func (r csvRecord) field(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = r.ends[i-1] + 1
+	}
+	return r.buf[start:r.ends[i]]
+}
+
+// csvReader yields the records of a CSV stream exactly as
+// encoding/csv (default settings, FieldsPerRecord = -1) would, at a
+// fraction of the cost for what Save writes: a line without a quote or
+// carriage return is one record whose fields are its comma-separated
+// spans of the read buffer. The first line that contains either byte
+// — a host or vantage Save had to quote, or CRLF line ends — hands
+// that line and the rest of the stream to an encoding/csv.Reader. The
+// hand-off happens at a line boundary outside any quoted field, where
+// encoding/csv's state is "start of record", so it is exact by
+// construction.
+type csvReader struct {
+	br   *bufio.Reader
+	long []byte // a line longer than br's buffer, reassembled
+	rec  csvRecord
+	slow *csv.Reader // non-nil after the hand-off
+}
+
+func newCSVReader(r io.Reader) *csvReader {
+	return &csvReader{br: bufio.NewReaderSize(r, 1<<16)}
+}
+
+// next returns the next record, or io.EOF at the end of the stream.
+// The record is valid until the following call.
+func (r *csvReader) next() (csvRecord, error) {
+	if r.slow != nil {
+		return r.nextSlow()
+	}
+	for {
+		line, err := r.readLine()
+		if len(line) == 0 {
+			if err == nil {
+				continue
+			}
+			return csvRecord{}, err
+		}
+		if err != nil && err != io.EOF {
+			return csvRecord{}, err
+		}
+		body := line
+		if body[len(body)-1] == '\n' {
+			body = body[:len(body)-1]
+		}
+		if len(body) == 0 {
+			continue // encoding/csv skips empty lines
+		}
+		// One pass splits the line and watches for the bytes that need
+		// full CSV parsing; every byte above '"' other than ',' is
+		// plain field content.
+		ends := r.rec.ends[:0]
+		for i, c := range body {
+			if c > '"' && c != ',' {
+				continue
+			}
+			if c == ',' {
+				ends = append(ends, i)
+			} else if c == '"' || c == '\r' {
+				r.slow = csv.NewReader(io.MultiReader(bytes.NewReader(bytes.Clone(line)), r.br))
+				r.slow.FieldsPerRecord = -1
+				r.slow.ReuseRecord = true
+				return r.nextSlow()
+			}
+		}
+		r.rec = csvRecord{buf: body, ends: append(ends, len(body))}
+		return r.rec, nil
+	}
+}
+
+// readLine returns the next line including its '\n' (absent only on
+// the last line of the stream).
+func (r *csvReader) readLine() ([]byte, error) {
+	line, err := r.br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	r.long = append(r.long[:0], line...)
+	for err == bufio.ErrBufferFull {
+		line, err = r.br.ReadSlice('\n')
+		r.long = append(r.long, line...)
+	}
+	return r.long, err
+}
+
+// nextSlow reads a record through encoding/csv and lays its fields out
+// as a csvRecord, one separator byte apart.
+func (r *csvReader) nextSlow() (csvRecord, error) {
+	fields, err := r.slow.Read()
+	if err != nil {
+		return csvRecord{}, err
+	}
+	buf, ends := r.long[:0], r.rec.ends[:0]
+	for i, f := range fields {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, f...)
+		ends = append(ends, len(buf))
+	}
+	r.long = buf
+	r.rec = csvRecord{buf: buf, ends: ends}
+	return r.rec, nil
 }

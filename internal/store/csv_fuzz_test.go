@@ -1,0 +1,74 @@
+package store
+
+import (
+	"bytes"
+	"encoding/csv"
+	"io"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// readAllFast drains csvReader over data: the records as strings, and
+// whether reading ended in an error other than io.EOF.
+func readAllFast(data []byte) ([][]string, bool) {
+	r := newCSVReader(bytes.NewReader(data))
+	var out [][]string
+	for {
+		rec, err := r.next()
+		if err != nil {
+			return out, err != io.EOF
+		}
+		row := make([]string, rec.len())
+		for i := range row {
+			row[i] = string(rec.field(i))
+		}
+		out = append(out, row)
+	}
+}
+
+// readAllStd is readAllFast through encoding/csv with the settings
+// csvReader promises to match.
+func readAllStd(data []byte) ([][]string, bool) {
+	r := csv.NewReader(bytes.NewReader(data))
+	r.FieldsPerRecord = -1
+	var out [][]string
+	for {
+		rec, err := r.Read()
+		if err != nil {
+			return out, err != io.EOF
+		}
+		out = append(out, rec)
+	}
+}
+
+// FuzzCSVReader is the differential check behind csvReader: on any
+// input it must yield encoding/csv's records, and fail where (and only
+// where) encoding/csv fails.
+func FuzzCSVReader(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, gotErr := readAllFast(data)
+		want, wantErr := readAllStd(data)
+		if !reflect.DeepEqual(got, want) || gotErr != wantErr {
+			t.Fatalf("input %q:\ncsvReader    %q (error %v)\nencoding/csv %q (error %v)", data, got, gotErr, want, wantErr)
+		}
+	})
+}
+
+// TestCSVReaderLongLines covers lines longer than the reader's buffer,
+// plain and quoted, which the fuzzer's small inputs never reach.
+func TestCSVReaderLongLines(t *testing.T) {
+	long := strings.Repeat("x", 200_000)
+	for _, data := range []string{
+		"a," + long + ",b\nc\n",
+		"a," + long,
+		"a\n\"" + long + "\n" + long + "\",b\nc,d\n",
+		long + "\"\n",
+	} {
+		got, gotErr := readAllFast([]byte(data))
+		want, wantErr := readAllStd([]byte(data))
+		if !reflect.DeepEqual(got, want) || gotErr != wantErr {
+			t.Errorf("%d-byte input: csvReader and encoding/csv disagree (errors %v, %v)", len(data), gotErr, wantErr)
+		}
+	}
+}

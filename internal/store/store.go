@@ -20,8 +20,8 @@
 //     sequentially from zero, the extended population is a second
 //     dense range at a fixed base — and Reserve turns those ranges
 //     into index-addressed tables. Ids outside the reserved ranges
-//     (direct API use, databases loaded from CSV without a
-//     reservation) fall back to per-shard overflow maps.
+//     (direct API use, sparse or unsorted saved databases) fall back
+//     to per-shard overflow maps.
 //   - DNS history is delta-encoded: each site stores runs of
 //     consecutive rounds sharing one (HasA, HasAAAA, Identical)
 //     outcome, so storage is O(state changes), not O(sites*rounds).
@@ -39,6 +39,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -271,7 +272,11 @@ func (s *dnsShard) hist(res reservation, id alexa.SiteID, create bool) *dnsHist 
 // caller must keep in the ooo log instead. Caller holds s.mu.
 func (s *dnsShard) add(res reservation, row DNSRow) (ooo bool) {
 	h := s.hist(res, row.Site, true)
-	nr, spill, outOfOrder := h.append(s.spill[row.Site], int32(row.Round), dnsState(row.HasA, row.HasAAAA, row.Identical))
+	var spillRuns []dnsRun
+	if h.run[1].state&dnsSpilled != 0 {
+		spillRuns = s.spill[row.Site]
+	}
+	nr, spill, outOfOrder := h.append(spillRuns, int32(row.Round), dnsState(row.HasA, row.HasAAAA, row.Identical))
 	if outOfOrder {
 		return true
 	}
@@ -329,6 +334,9 @@ func (p packedSample) sample(dates []time.Time) Sample {
 type famSlots []int32
 
 func (f *famSlots) grow(n int) {
+	if n > len(*f) {
+		*f = slices.Grow(*f, n-len(*f))
+	}
 	for len(*f) < n {
 		*f = append(*f, -1)
 	}
@@ -427,11 +435,11 @@ type siteCols struct {
 }
 
 func (c *siteCols) grow(n int) {
-	for len(c.present) < n {
-		c.present = append(c.present, false)
-		c.firstRank = append(c.firstRank, 0)
-		c.v4 = append(c.v4, 0)
-		c.v6 = append(c.v6, 0)
+	if k := n - len(c.present); k > 0 {
+		c.present = append(c.present, make([]bool, k)...)
+		c.firstRank = append(c.firstRank, make([]int32, k)...)
+		c.v4 = append(c.v4, make([]int32, k)...)
+		c.v6 = append(c.v6, make([]int32, k)...)
 	}
 }
 
@@ -507,11 +515,11 @@ func (t *vantageTable) grow(res reservation) {
 	nMain, nExt := slotsFor(res.main), slotsFor(res.ext)
 	for i := range t.dns {
 		d := &t.dns[i]
-		for len(d.main) < nMain {
-			d.main = append(d.main, dnsHist{})
+		if k := nMain - len(d.main); k > 0 {
+			d.main = append(d.main, make([]dnsHist, k)...)
 		}
-		for len(d.ext) < nExt {
-			d.ext = append(d.ext, dnsHist{})
+		if k := nExt - len(d.ext); k > 0 {
+			d.ext = append(d.ext, make([]dnsHist, k)...)
 		}
 		s := &t.samples[i]
 		for f := 0; f < 2; f++ {
@@ -584,7 +592,7 @@ func (db *DB) Reserve(mainIDs int, extBase alexa.SiteID, extIDs int) {
 		for id, row := range sh.over {
 			if table, _ := res.locate(id); table >= 0 {
 				delete(sh.over, id)
-				sh.putDense(res, row)
+				sh.putDense(res, row, row.Host == alexa.HostName(id))
 			}
 		}
 	}
@@ -656,9 +664,11 @@ func (db *DB) siteShard(id alexa.SiteID) *siteShard {
 	return &db.sites[uint64(id)&(shards-1)]
 }
 
-// putDense stores row into the dense columns. Caller holds sh.mu (or
-// is exclusive) and has verified the id is in range.
-func (sh *siteShard) putDense(res reservation, row SiteRow) {
+// putDense stores row into the dense columns; canonical reports
+// whether row.Host is alexa.HostName(row.Site), so the host need not
+// be stored. Caller holds sh.mu (or is exclusive) and has verified the
+// id is in range.
+func (sh *siteShard) putDense(res reservation, row SiteRow, canonical bool) {
 	table, slot := res.locate(row.Site)
 	cols := &sh.main
 	if table == 1 {
@@ -671,7 +681,7 @@ func (sh *siteShard) putDense(res reservation, row SiteRow) {
 	cols.firstRank[slot] = int32(row.FirstRank)
 	cols.v4[slot] = int32(row.V4AS)
 	cols.v6[slot] = int32(row.V6AS)
-	if row.Host == alexa.HostName(row.Site) {
+	if canonical {
 		delete(sh.hostOver, row.Site)
 	} else {
 		if sh.hostOver == nil {
@@ -703,7 +713,7 @@ func (db *DB) PutSite(row SiteRow) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if table, _ := db.res.locate(row.Site); table >= 0 {
-		sh.putDense(db.res, row)
+		sh.putDense(db.res, row, row.Host == alexa.HostName(row.Site))
 		return
 	}
 	if sh.over == nil {
@@ -921,6 +931,25 @@ func (db *DB) AddDNSBatch(v Vantage, rows []DNSRow) {
 	}
 }
 
+// addDNSShard is addDNS for rows that all fall in DNS shard i: one
+// lock acquisition for the batch, rows applied in batch order.
+func (t *vantageTable) addDNSShard(res reservation, i int, rows []DNSRow) {
+	sh := &t.dns[i]
+	var ooo []DNSRow
+	sh.mu.Lock()
+	for _, row := range rows {
+		if sh.add(res, row) {
+			ooo = append(ooo, row)
+		}
+	}
+	sh.mu.Unlock()
+	if len(ooo) > 0 {
+		t.oooMu.Lock()
+		t.ooo = append(t.ooo, ooo...)
+		t.oooMu.Unlock()
+	}
+}
+
 // DNS returns all DNS rows for a vantage in canonical (site, round)
 // order, expanded from the delta encoding.
 func (db *DB) DNS(v Vantage) []DNSRow {
@@ -980,6 +1009,26 @@ func (db *DB) AddSample(v Vantage, site alexa.SiteID, fam topo.Family, s Sample)
 	sh := &t.samples[uint64(site)&(shards-1)]
 	sh.mu.Lock()
 	sh.add(db.res, site, fam, p)
+	sh.mu.Unlock()
+}
+
+// siteSample is one packed sample with its series key, buffered for
+// addSampleShard.
+type siteSample struct {
+	site alexa.SiteID
+	fam  topo.Family
+	p    packedSample
+}
+
+// addSampleShard appends buffered samples that all fall in sample
+// shard i (dates already resolved against t's dictionary) under one
+// lock acquisition, in batch order.
+func (t *vantageTable) addSampleShard(res reservation, i int, batch []siteSample) {
+	sh := &t.samples[i]
+	sh.mu.Lock()
+	for _, s := range batch {
+		sh.add(res, s.site, s.fam, s.p)
+	}
 	sh.mu.Unlock()
 }
 
@@ -1057,7 +1106,10 @@ func (db *DB) SampledSites(v Vantage) []alexa.SiteID {
 // AddPath records the AS path to dst observed after a round. Only
 // changes are stored: identical consecutive snapshots collapse.
 func (db *DB) AddPath(v Vantage, fam topo.Family, dst, round int, path []int) {
-	t := db.table(v)
+	db.table(v).addPath(fam, dst, round, path)
+}
+
+func (t *vantageTable) addPath(fam topo.Family, dst, round int, path []int) {
 	k := famDstKey{fam, dst}
 	t.pathMu.Lock()
 	defer t.pathMu.Unlock()
