@@ -38,8 +38,16 @@ func Fatal(tool string, err error) {
 // Complete set) that marks the directory as final rather than a
 // resumable checkpoint. Every tool that finishes a campaign goes
 // through here so the completion contract cannot drift between them.
+//
+// The databases are rewritten in place, so a completion Meta left by
+// an earlier campaign in dir is removed before the first file changes:
+// a save that stops midway then leaves a directory with no completed
+// campaign, never an old marker over a mix of new and old files.
 func SaveCompleted(dir string, rounds int, fingerprint string, main, v6day *store.DB) error {
 	final := &store.CSVBackend{Dir: dir}
+	if err := final.ClearMeta(); err != nil {
+		return err
+	}
 	if err := final.SaveSnapshot(store.SnapMain, main); err != nil {
 		return err
 	}

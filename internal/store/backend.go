@@ -146,6 +146,20 @@ func (b *CSVBackend) LoadMeta() (Meta, bool, error) {
 	return readMetaFile(filepath.Join(b.Dir, metaFile))
 }
 
+// ClearMeta durably removes Dir/meta.json, so snapshots rewritten in
+// place afterwards are never vouched for by an older Meta if the
+// rewrite stops midway. A missing file is not an error.
+func (b *CSVBackend) ClearMeta() error {
+	err := os.Remove(filepath.Join(b.Dir, metaFile))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	return syncDir(b.Dir)
+}
+
 // loadSnapshotAuto loads base from whichever format saved it: the
 // binary file when present, else the CSV directory. Checkpoints are
 // only ever written binary; the CSV branch is the read-only path that

@@ -14,6 +14,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"v6web/internal/alexa"
 	"v6web/internal/topo"
@@ -28,11 +30,12 @@ const (
 )
 
 // Save writes the database as four CSV files under dir, creating it
-// if needed. Every file streams row by row through a bufio.Writer in
-// the tables' canonical iteration order — no sorted whole-table copy
-// is ever materialized, so saving a paper-scale database needs O(1)
-// extra memory. Each file is fsynced as it closes and dir is fsynced
-// last, so a returned nil means the database survives power loss.
+// if needed. Every file streams row by row in the tables' canonical
+// iteration order — no sorted whole-table copy is ever materialized,
+// so saving a paper-scale database needs O(1) extra memory. Rows are
+// append-encoded into one owned buffer per file (see csvFile). Each
+// file is fsynced as it closes and dir is fsynced last, so a returned
+// nil means the database survives power loss.
 func (db *DB) Save(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -52,53 +55,98 @@ func (db *DB) Save(dir string) error {
 	return syncDir(dir)
 }
 
-// csvStream is a row-at-a-time CSV writer: csv encoding on top of a
-// bufio.Writer on top of the file.
-type csvStream struct {
+// csvFlushAt is the fill level at which a csvFile hands its buffer to
+// the file; the buffer is allocated with room for one more typical row
+// past it, so it grows only for a row longer than that slack.
+const (
+	csvBufSize = 1 << 16
+	csvFlushAt = csvBufSize - 1<<12
+)
+
+// csvFile is a row-at-a-time CSV writer over one owned buffer: the
+// save loops append each row's bytes to buf and call endRow, which
+// writes buf to the file once it nears csvBufSize. Write errors latch;
+// close reports the first one.
+type csvFile struct {
 	f   *os.File
-	bw  *bufio.Writer
-	w   *csv.Writer
+	buf []byte
 	err error
 }
 
-func newCSVStream(path string, header []string) (*csvStream, error) {
+// createCSV creates path and buffers its header. Header names are
+// plain identifiers, which encoding/csv never quotes.
+func createCSV(path string, header []string) (*csvFile, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	s := &csvStream{f: f, bw: bw, w: csv.NewWriter(bw)}
-	if err := s.w.Write(header); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return s, nil
+	w := &csvFile{f: f, buf: make([]byte, 0, csvBufSize)}
+	w.buf = append(w.buf, strings.Join(header, ",")...)
+	w.endRow()
+	return w, nil
 }
 
-// row writes one record built from fields. Errors latch; close
-// reports the first one.
-func (s *csvStream) row(fields ...string) {
-	if s.err != nil {
-		return
+// endRow terminates the row appended to buf.
+func (w *csvFile) endRow() {
+	w.buf = append(w.buf, '\n')
+	if len(w.buf) >= csvFlushAt {
+		w.flush()
 	}
-	s.err = s.w.Write(fields)
 }
 
-func (s *csvStream) close() error {
-	s.w.Flush()
-	if s.err == nil {
-		s.err = s.w.Error()
+func (w *csvFile) flush() {
+	if w.err == nil && len(w.buf) > 0 {
+		_, w.err = w.f.Write(w.buf)
 	}
-	if err := s.bw.Flush(); s.err == nil {
-		s.err = err
+	w.buf = w.buf[:0]
+}
+
+func (w *csvFile) close() error {
+	w.flush()
+	if w.err == nil {
+		w.err = w.f.Sync()
 	}
-	if s.err == nil {
-		s.err = s.f.Sync()
+	if err := w.f.Close(); w.err == nil {
+		w.err = err
 	}
-	if err := s.f.Close(); s.err == nil {
-		s.err = err
+	return w.err
+}
+
+// appendField appends s to dst as one CSV field, quoted exactly when
+// encoding/csv.Writer (default Comma, UseCRLF false) would quote it:
+// when s is `\.`, holds a comma, quote, CR or LF, or starts with a
+// unicode.IsSpace rune; the empty field is never quoted. Inside quotes
+// a quote is doubled and CR and LF are copied verbatim. FuzzCSVWriter
+// checks the rule against encoding/csv. Only free text (hosts and
+// vantage names) goes through here: integers, booleans and floats
+// never need quoting.
+func appendField(dst []byte, s string) []byte {
+	if !fieldNeedsQuotes(s) {
+		return append(dst, s...)
 	}
-	return s.err
+	dst = append(dst, '"')
+	for {
+		i := strings.IndexByte(s, '"')
+		if i < 0 {
+			break
+		}
+		dst = append(dst, s[:i+1]...)
+		dst = append(dst, '"')
+		s = s[i+1:]
+	}
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+func fieldNeedsQuotes(s string) bool {
+	if s == "" {
+		return false
+	}
+	if s == `\.` || strings.ContainsAny(s, ",\"\r\n") {
+		return true
+	}
+	r, _ := utf8.DecodeRuneInString(s)
+	return unicode.IsSpace(r)
 }
 
 // The header each file starts with; Load requires it verbatim.
@@ -110,19 +158,49 @@ var (
 )
 
 func (db *DB) saveSites(path string) error {
-	s, err := newCSVStream(path, sitesHeader)
+	w, err := createCSV(path, sitesHeader)
 	if err != nil {
 		return err
 	}
 	db.forEachSite(func(r SiteRow) {
-		s.row(strconv.FormatInt(int64(r.Site), 10), r.Host,
-			strconv.Itoa(r.FirstRank), strconv.Itoa(r.V4AS), strconv.Itoa(r.V6AS))
+		w.buf = strconv.AppendInt(w.buf, int64(r.Site), 10)
+		w.buf = append(w.buf, ',')
+		w.buf = appendField(w.buf, r.Host)
+		w.buf = append(w.buf, ',')
+		w.buf = appendInts(w.buf, ',', r.FirstRank, r.V4AS, r.V6AS)
+		w.endRow()
 	})
-	return s.close()
+	return w.close()
 }
 
+// dnsOutcomes holds the ",has_a,has_aaaa,identical" tail of a dns.csv
+// row for each of the 8 outcomes, indexed by dnsOutcome.
+var dnsOutcomes = func() (t [8]string) {
+	for i := range t {
+		t[i] = "," + strconv.FormatBool(i&4 != 0) + "," + strconv.FormatBool(i&2 != 0) + "," + strconv.FormatBool(i&1 != 0)
+	}
+	return t
+}()
+
+func dnsOutcome(r DNSRow) int {
+	i := 0
+	if r.HasA {
+		i |= 4
+	}
+	if r.HasAAAA {
+		i |= 2
+	}
+	if r.Identical {
+		i |= 1
+	}
+	return i
+}
+
+// saveDNS writes the walker's rows, re-encoding only what changes: the
+// "vantage,site," prefix is rebuilt when the site does, the outcome
+// tail comes from dnsOutcomes, and each row formats just its round.
 func (db *DB) saveDNS(path string) error {
-	s, err := newCSVStream(path, dnsHeader)
+	w, err := createCSV(path, dnsHeader)
 	if err != nil {
 		return err
 	}
@@ -130,71 +208,113 @@ func (db *DB) saveDNS(path string) error {
 	// workers append concurrently, so equal databases must serialize to
 	// byte-identical files — checkpoint/resume correctness is verified
 	// by comparing saved CSVs.
+	var prefix []byte
 	for _, v := range db.Vantages() {
-		vs := string(v)
+		vantage := appendField(nil, string(v))
+		prefix = prefix[:0]
+		var site alexa.SiteID
 		db.ForEachDNS(v, func(r DNSRow) {
-			s.row(vs, strconv.FormatInt(int64(r.Site), 10), strconv.Itoa(r.Round),
-				strconv.FormatBool(r.HasA), strconv.FormatBool(r.HasAAAA), strconv.FormatBool(r.Identical))
+			if len(prefix) == 0 || r.Site != site {
+				site = r.Site
+				prefix = append(append(prefix[:0], vantage...), ',')
+				prefix = append(strconv.AppendInt(prefix, int64(site), 10), ',')
+			}
+			w.buf = append(w.buf, prefix...)
+			w.buf = strconv.AppendInt(w.buf, int64(r.Round), 10)
+			w.buf = append(w.buf, dnsOutcomes[dnsOutcome(r)]...)
+			w.endRow()
 		})
 	}
-	return s.close()
+	return w.close()
 }
 
 func (db *DB) saveSamples(path string) error {
-	s, err := newCSVStream(path, samplesHeader)
+	w, err := createCSV(path, samplesHeader)
 	if err != nil {
 		return err
 	}
+	// Rounds share dates across sites and vantages, so each distinct
+	// date is formatted once. RFC 3339 without fractional seconds is a
+	// function of the Unix second, which makes that an exact key.
+	dates := make(map[int64][]byte)
+	var prefix []byte
 	for _, v := range db.Vantages() {
-		vs := string(v)
+		vantage := appendField(nil, string(v))
 		db.ForEachSeries(v, func(site alexa.SiteID, fam topo.Family, ss []Sample) {
+			prefix = append(append(prefix[:0], vantage...), ',')
+			prefix = append(strconv.AppendInt(prefix, int64(site), 10), ',')
+			prefix = append(strconv.AppendInt(prefix, int64(fam), 10), ',')
 			for _, smp := range ss {
-				s.row(vs, strconv.FormatInt(int64(site), 10), strconv.Itoa(int(fam)),
-					strconv.Itoa(smp.Round), smp.Date.UTC().Format(time.RFC3339),
-					strconv.Itoa(smp.PageBytes), strconv.Itoa(smp.Downloads),
-					strconv.FormatFloat(smp.MeanSpeed, 'g', 17, 64), strconv.FormatBool(smp.CIOK))
+				sec := smp.Date.Unix()
+				date, ok := dates[sec]
+				if !ok {
+					date = smp.Date.UTC().AppendFormat(nil, time.RFC3339)
+					dates[sec] = date
+				}
+				w.buf = append(w.buf, prefix...)
+				w.buf = strconv.AppendInt(w.buf, int64(smp.Round), 10)
+				w.buf = append(append(append(w.buf, ','), date...), ',')
+				w.buf = appendInts(w.buf, ',', smp.PageBytes, smp.Downloads)
+				w.buf = append(w.buf, ',')
+				w.buf = strconv.AppendFloat(w.buf, smp.MeanSpeed, 'g', 17, 64)
+				w.buf = append(w.buf, ',')
+				w.buf = strconv.AppendBool(w.buf, smp.CIOK)
+				w.endRow()
 			}
 		})
 	}
-	return s.close()
+	return w.close()
 }
 
 func (db *DB) savePaths(path string) error {
-	s, err := newCSVStream(path, pathsHeader)
+	w, err := createCSV(path, pathsHeader)
 	if err != nil {
 		return err
 	}
 	for _, v := range db.Vantages() {
+		vantage := appendField(nil, string(v))
 		t := db.lookup(v)
 		t.pathMu.Lock()
-		keys := make([]famDstKey, 0, len(t.paths))
-		for k := range t.paths {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			a, b := keys[i], keys[j]
-			if a.fam != b.fam {
-				return a.fam < b.fam
-			}
-			return a.dst < b.dst
-		})
-		for _, k := range keys {
+		for _, k := range t.sortedPathKeys() {
 			for _, snap := range t.paths[k] {
-				s.row(string(v), strconv.Itoa(int(k.fam)), strconv.Itoa(k.dst),
-					strconv.Itoa(snap.Round), joinInts(snap.Path))
+				w.buf = append(append(w.buf, vantage...), ',')
+				w.buf = appendInts(w.buf, ',', int(k.fam), k.dst, snap.Round)
+				w.buf = append(w.buf, ',')
+				w.buf = appendInts(w.buf, ';', snap.Path...)
+				w.endRow()
 			}
 		}
 		t.pathMu.Unlock()
 	}
-	return s.close()
+	return w.close()
 }
 
-func joinInts(xs []int) string {
-	parts := make([]string, len(xs))
-	for i, x := range xs {
-		parts[i] = strconv.Itoa(x)
+// sortedPathKeys returns t's path keys in (family, destination) order.
+// The caller holds t.pathMu.
+func (t *vantageTable) sortedPathKeys() []famDstKey {
+	keys := make([]famDstKey, 0, len(t.paths))
+	for k := range t.paths {
+		keys = append(keys, k)
 	}
-	return strings.Join(parts, ";")
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if a.fam != b.fam {
+			return a.fam < b.fam
+		}
+		return a.dst < b.dst
+	})
+	return keys
+}
+
+// appendInts appends xs in decimal, sep between them.
+func appendInts(dst []byte, sep byte, xs ...int) []byte {
+	for i, x := range xs {
+		if i > 0 {
+			dst = append(dst, sep)
+		}
+		dst = strconv.AppendInt(dst, int64(x), 10)
+	}
+	return dst
 }
 
 // ErrNoDatabase reports that a directory holds no saved database at
@@ -507,7 +627,7 @@ func loadPaths(db *DB, dir string) error {
 	})
 }
 
-// splitInts parses a joinInts field into dst; an empty field is an
+// splitInts parses a path field (appendInts with ';') into dst; an empty field is an
 // empty path.
 func splitInts(dst []int, field []byte) ([]int, error) {
 	if len(field) == 0 {

@@ -72,3 +72,30 @@ func TestCSVReaderLongLines(t *testing.T) {
 		}
 	}
 }
+
+// FuzzCSVWriter is the differential check behind appendField: a record
+// of up to six fields (the input split at NUL bytes), joined with
+// commas and ended with a newline, must be the bytes encoding/csv's
+// Writer writes for it.
+func FuzzCSVWriter(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec := strings.SplitN(string(data), "\x00", 6)
+		var got []byte
+		for i, field := range rec {
+			if i > 0 {
+				got = append(got, ',')
+			}
+			got = appendField(got, field)
+		}
+		got = append(got, '\n')
+		var want bytes.Buffer
+		w := csv.NewWriter(&want)
+		if err := w.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+		w.Flush()
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("record %q:\nappendField  %q\nencoding/csv %q", rec, got, want.Bytes())
+		}
+	})
+}
